@@ -14,8 +14,7 @@
  *   wwtcmp_campaign diff <dirA> <dirB> [--tol X]
  *   wwtcmp_campaign analyze <dir> [--baseline DIR] [--json FILE]
  *                   [--outlier-eps X] [--skew-band X]
- *   wwtcmp_campaign serve <dir>... [--out D] [--port N] [--host H]
- *                   [--once] [--trajectory FILE]
+ *   wwtcmp_campaign serve <dir>... [--out D] [--trajectory FILE]
  *
  * `run` executes every expanded scenario of the campaign file in
  * crash-isolated parallel child processes (each child is this binary
@@ -33,9 +32,10 @@
  * the records' host-phase breakdown; wall/user/sys/max-RSS are
  * recorded on every run regardless.
  *
+ * Each child hands its record line back over a pipe it finds as fd 3
+ * (exp/runner.hh); the parent validates the line before appending it.
+ *
  * Service mode (docs/campaigns.md, "service mode"):
- *  - Children hand records back through a shared-memory record ring
- *    (svc/ring.hh); the tmp-file path remains the overflow fallback.
  *  - `--cache DIR` adds DIR's results to the content-addressed cache
  *    index: scenarios whose config hash already has a passing record
  *    anywhere (own store included) are adopted as cache-hit records
@@ -45,14 +45,15 @@
  *    sharded by config hash, claims are lease files with heartbeats
  *    (svc/lease.hh), and a dead worker's claims re-issue after
  *    `--lease-timeout` seconds.
- *  - `serve` renders the read-side dashboard (svc/dashboard.hh) and
- *    optionally serves it over a tiny single-threaded HTTP endpoint.
+ *  - `serve` renders the read-side dashboard (svc/dashboard.hh), a
+ *    static tree any file host can publish.
  */
 
 #include <signal.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -74,9 +75,7 @@
 #include "prof/hostprof.hh"
 #include "svc/cache_index.hh"
 #include "svc/dashboard.hh"
-#include "svc/http.hh"
 #include "svc/lease.hh"
-#include "svc/ring.hh"
 
 using namespace wwt;
 
@@ -106,9 +105,8 @@ usage(const char* msg = nullptr)
         "[--json FILE]\n"
         "                               [--outlier-eps X] "
         "[--skew-band X]\n"
-        "       wwtcmp_campaign serve  <dir>... [--out D] [--port N] "
-        "[--host H] [--once]\n"
-        "                              [--trajectory FILE]\n"
+        "       wwtcmp_campaign serve  <dir>... [--out D] "
+        "[--trajectory FILE]\n"
         "apps: %s\n",
         exp::appNames().c_str());
     return 2;
@@ -145,17 +143,12 @@ struct Cli {
     std::vector<std::string> workers;   ///< --workers a,b,c
     std::string workerName;             ///< --worker a
     double leaseTimeoutSec = 30;        ///< --lease-timeout S
-    std::string chaosWriteKillId;       ///< die mid-WRITING once
+    std::string chaosWriteKillId;       ///< die mid-write once
     // serve
     std::string outDir = "dashboard";
-    std::string host = "127.0.0.1";
-    int port = -1; ///< -1 = render only; 0 = ephemeral
-    bool once = false;
     std::string trajectoryPath = "bench/BENCH_trajectory.json";
     // --run-one internals
     std::string scenarioId;
-    std::string ringPath;
-    int ringSlot = -1;
     bool chaosDieWriting = false;
 };
 
@@ -197,8 +190,9 @@ parseCli(int argc, char** argv, Cli& c)
             c.jobs = static_cast<std::size_t>(
                 core::requireCount("--jobs", value("--jobs"), 1, 256));
         } else if (!std::strcmp(argv[i], "--timeout")) {
-            c.timeoutOverride = static_cast<double>(core::requireCount(
-                "--timeout", value("--timeout"), 1, 86400));
+            c.timeoutOverride = static_cast<double>(
+                core::requireCount("--timeout", value("--timeout"), 1,
+                                   exp::kMaxTimeoutSec));
         } else if (!std::strcmp(argv[i], "--retries")) {
             c.retriesOverride = static_cast<int>(core::requireCount(
                 "--retries", value("--retries"), 0, 100));
@@ -261,22 +255,10 @@ parseCli(int argc, char** argv, Cli& c)
             c.chaosWriteKillId = value("--chaos-write-kill");
         } else if (!std::strcmp(argv[i], "--out")) {
             c.outDir = value("--out");
-        } else if (!std::strcmp(argv[i], "--host")) {
-            c.host = value("--host");
-        } else if (!std::strcmp(argv[i], "--port")) {
-            c.port = static_cast<int>(core::requireCount(
-                "--port", value("--port"), 0, 65535));
-        } else if (!std::strcmp(argv[i], "--once")) {
-            c.once = true;
         } else if (!std::strcmp(argv[i], "--trajectory")) {
             c.trajectoryPath = value("--trajectory");
         } else if (!std::strcmp(argv[i], "--scenario")) {
             c.scenarioId = value("--scenario");
-        } else if (!std::strcmp(argv[i], "--ring")) {
-            c.ringPath = value("--ring");
-        } else if (!std::strcmp(argv[i], "--ring-slot")) {
-            c.ringSlot = static_cast<int>(core::requireCount(
-                "--ring-slot", value("--ring-slot"), 0, 4096));
         } else if (!std::strcmp(argv[i], "--chaos-die-writing")) {
             c.chaosDieWriting = true;
         } else if (argv[i][0] == '-') {
@@ -293,6 +275,22 @@ std::string
 defaultDir(const exp::Campaign& campaign)
 {
     return campaign.name + "-" + campaign.profile + ".campaign";
+}
+
+/** write(2) all of [p, p+n) to @p fd. @return false on error. */
+bool
+writeAll(int fd, const char* p, std::size_t n)
+{
+    while (n > 0) {
+        ssize_t w = ::write(fd, p, n);
+        if (w < 0 && errno == EINTR)
+            continue;
+        if (w < 0)
+            return false;
+        p += w;
+        n -= static_cast<std::size_t>(w);
+    }
+    return true;
 }
 
 // ----------------------------------------------------------------
@@ -382,50 +380,20 @@ runOne(const Cli& cli)
         std::fprintf(stderr, "%s\n", prof::coverageLine(hp).c_str());
     }
 
-    // Hand the record back: shared-memory ring first (svc/ring.hh),
-    // tmp file as the overflow / no-ring fallback. The parent only
-    // trusts either copy after re-validating it.
-    std::string line = rec.toJsonLine();
-    auto writeTmp = [&]() -> bool {
-        std::ofstream os(store.tmpRecordPath(s->id));
-        if (!os) {
-            std::fprintf(stderr, "cannot write %s\n",
-                         store.tmpRecordPath(s->id).c_str());
-            return false;
-        }
-        os << line << '\n';
-        return true;
-    };
-
-    bool handed = false;
-    if (!cli.ringPath.empty() && cli.ringSlot >= 0) {
-        try {
-            svc::RecordRing ring = svc::RecordRing::open(cli.ringPath);
-            auto slot = static_cast<std::uint32_t>(cli.ringSlot);
-            if (ring.claim(slot)) {
-                if (cli.chaosDieWriting) {
-                    // Chaos hook: die with the slot mid-WRITING so
-                    // the parent's reclaim path is exercised for
-                    // real (half a payload, no state transition).
-                    std::memcpy(ring.rawPayload(slot), line.data(),
-                                line.size() / 2);
-                    ::raise(SIGKILL);
-                }
-                if (ring.publish(slot, line)) {
-                    handed = true;
-                } else if (writeTmp()) {
-                    ring.markOverflow(slot);
-                    handed = true;
-                }
-            }
-        } catch (const std::exception& e) {
-            std::fprintf(stderr, "ring handoff failed (%s); using "
-                                 "the tmp file\n",
-                         e.what());
-        }
+    // Hand the record back over the runner's pipe (exp/runner.hh).
+    // The parent only trusts the line after re-validating it.
+    std::string line = rec.toJsonLine() + '\n';
+    if (cli.chaosDieWriting) {
+        // Chaos hook: die with half the line written, so the parent's
+        // torn-record path is exercised for real.
+        writeAll(exp::kRecordFd, line.data(), line.size() / 2);
+        ::raise(SIGKILL);
     }
-    if (!handed && !writeTmp())
+    if (!writeAll(exp::kRecordFd, line.data(), line.size())) {
+        std::fprintf(stderr, "cannot write the record to fd %d: %s\n",
+                     exp::kRecordFd, std::strerror(errno));
         return 3;
+    }
     return rec.status == exp::RunStatus::Pass ? 0 : 1;
 }
 
@@ -536,15 +504,6 @@ runCampaign(const Cli& cli, const char* argv0, bool resume)
     for (const std::string& d : cli.cacheDirs)
         cache.addStore(d);
 
-    // The shared-memory handoff ring, one per runner process.
-    std::string ringPath =
-        store.dir() + "/tmp/ring." +
-        (cli.workerName.empty() ? std::string("main")
-                                : cli.workerName);
-    svc::RecordRing ring = svc::RecordRing::create(
-        ringPath, static_cast<std::uint32_t>(std::max<std::size_t>(
-                      jobs, 1)));
-
     std::size_t done = 0;
     std::size_t executed = 0;
     std::size_t cachedCount = 0;
@@ -575,27 +534,16 @@ runCampaign(const Cli& cli, const char* argv0, bool resume)
         exp::RunRecord rec;
         bool adopted = false;
         if (out.kind == exp::ChildOutcome::Kind::Exited &&
-            (out.exitCode == 0 || out.exitCode == 1)) {
-            // The child claims it handed a record back — through the
-            // ring, or the tmp file on overflow/fallback. Validate
-            // either copy before adopting it into the results file.
-            std::string line;
-            bool have = false;
-            if (out.hasPayload) {
-                line = out.payload;
-                have = true;
-            } else {
-                std::ifstream in(store.tmpRecordPath(s.id));
-                have = in && std::getline(in, line);
-            }
-            if (have) {
-                try {
-                    rec = exp::RunRecord::fromJsonLine(line);
-                    adopted = rec.scenario == s.id &&
-                              rec.configHash == s.configHash();
-                } catch (const std::exception&) {
-                    adopted = false;
-                }
+            (out.exitCode == 0 || out.exitCode == 1) &&
+            !out.record.empty()) {
+            // The child claims it handed a record back; validate it
+            // before adopting it into the results file.
+            try {
+                rec = exp::RunRecord::fromJsonLine(out.record);
+                adopted = rec.scenario == s.id &&
+                          rec.configHash == s.configHash();
+            } catch (const std::exception&) {
+                adopted = false;
             }
         }
         if (!adopted) {
@@ -623,7 +571,6 @@ runCampaign(const Cli& cli, const char* argv0, bool resume)
                                   " without a valid record";
         }
         rec.attempts = out.attempts;
-        std::remove(store.tmpRecordPath(s.id).c_str());
         store.append(rec);
         ++done;
         ++executed;
@@ -639,21 +586,14 @@ runCampaign(const Cli& cli, const char* argv0, bool resume)
     };
 
     std::string exe = selfExe(argv0);
-    auto command = [&](const exp::Scenario& s, int attempt,
-                       int ring_slot) {
+    auto command = [&](const exp::Scenario& s, int attempt) {
         std::vector<std::string> cmd{
             exe,          "--run-one",  path,
             "--profile",  cli.profile,  "--scenario",
             s.id,         "--dir",      store.dir(),
         };
-        if (ring_slot >= 0) {
-            cmd.push_back("--ring");
-            cmd.push_back(ringPath);
-            cmd.push_back("--ring-slot");
-            cmd.push_back(std::to_string(ring_slot));
-            if (attempt == 1 && s.id == cli.chaosWriteKillId)
-                cmd.push_back("--chaos-die-writing");
-        }
+        if (attempt == 1 && s.id == cli.chaosWriteKillId)
+            cmd.push_back("--chaos-die-writing");
         if (cli.hostProf)
             cmd.push_back("--host-prof");
         return cmd;
@@ -665,7 +605,6 @@ runCampaign(const Cli& cli, const char* argv0, bool resume)
     exp::RunnerOptions ropts;
     ropts.jobs = jobs;
     ropts.chaosKillId = cli.chaosKillId;
-    ropts.ring = &ring;
 
     if (!cooperative) {
         std::vector<exp::Scenario> batch;
@@ -754,15 +693,15 @@ runCampaign(const Cli& cli, const char* argv0, bool resume)
                            },
                            logPath);
             stats.spawns += bs.spawns;
-            stats.ringReclaims += bs.ringReclaims;
+            stats.tornRecords += bs.tornRecords;
         }
     }
 
     std::printf("campaign %s: %zu executed, %zu cached, %zu skipped, "
-                "%d failure(s); %zu child exec(s), %zu ring "
-                "reclaim(s)\n",
+                "%d failure(s); %zu child exec(s), %zu torn "
+                "record(s)\n",
                 campaign.name.c_str(), executed, cachedCount, skipped,
-                failures, stats.spawns, stats.ringReclaims);
+                failures, stats.spawns, stats.tornRecords);
     return failures == 0 ? 0 : 1;
 }
 
@@ -825,31 +764,7 @@ main(int argc, char** argv)
             d.campaignDirs = cli.positional;
             d.outDir = cli.outDir;
             d.trajectoryPath = cli.trajectoryPath;
-            int rc = svc::buildDashboard(d, std::cout);
-            if (rc != 0)
-                return rc;
-            if (cli.port < 0 && !cli.once)
-                return 0; // render-only invocation
-            svc::HttpServer server(cli.outDir);
-            std::string err;
-            if (!server.bind(cli.host, cli.port < 0 ? 0 : cli.port,
-                             err)) {
-                std::fprintf(stderr, "error: %s\n", err.c_str());
-                return 2;
-            }
-            std::printf("serving %s at http://%s:%d/\n",
-                        cli.outDir.c_str(), cli.host.c_str(),
-                        server.port());
-            std::fflush(stdout);
-            if (cli.once) {
-                if (!server.handleOne(err)) {
-                    std::fprintf(stderr, "error: %s\n", err.c_str());
-                    return 2;
-                }
-                return 0;
-            }
-            server.serveForever();
-            return 0;
+            return svc::buildDashboard(d, std::cout);
         }
         if (cli.verb == "diff") {
             if (cli.positional.size() != 2)

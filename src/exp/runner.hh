@@ -15,16 +15,20 @@
  * writes a failed record and exits) are never retried, because
  * re-running a deterministic simulator reproduces the failure.
  *
- * The parent stays single-threaded: it spawns with fork/exec, polls
- * with waitpid(WNOHANG), and sleeps between sweeps, so scheduling
- * needs no locks and the results file has exactly one writer.
+ * Record handoff: every spawned attempt gets its own pipe, whose
+ * write end the child finds as fd 3 (kRecordFd). The record is
+ * whatever the child writes there before EOF; a record missing its
+ * trailing newline is *torn* — the child died mid-write — and is
+ * counted, never adopted. The child is the only holder of its write
+ * end, so EOF means the child is gone.
  *
- * Record handoff: when a RecordRing is attached (svc/ring.hh), each
- * spawned attempt is assigned one ring slot; the child publishes its
- * record line there and the parent drains it after the reap — the
- * tmp-file path remains as the overflow fallback. A child that dies
- * mid-WRITING leaves the slot dirty; the parent detects that state
- * after waitpid, reclaims the slot, and counts the reclaim.
+ * The parent stays single-threaded and event-driven: it poll()s the
+ * running children's read ends, reads while they run (so a record has
+ * no size cap), reaps a child with a blocking waitpid once its pipe
+ * reaches EOF, and otherwise sleeps only until the nearest timeout
+ * deadline or backoff expiry — capped, so `tick` still runs.
+ * Scheduling needs no locks and the results file has exactly one
+ * writer.
  *
  * Chaos hook: `chaosKillId` names one scenario whose first attempt is
  * SIGKILLed right after the spawn — CI uses it to prove the retry
@@ -36,20 +40,19 @@
 #include <vector>
 
 #include "exp/scenario.hh"
-#include "svc/ring.hh"
 
 namespace wwt::exp
 {
+
+/** The fd on which a child finds the write end of its record pipe. */
+inline constexpr int kRecordFd = 3;
 
 /** Scheduler policy. */
 struct RunnerOptions {
     std::size_t jobs = 1;       ///< concurrent child processes
     double backoffSec = 0.5;    ///< retry delay = backoff * attempt
     std::string chaosKillId;    ///< SIGKILL this scenario's 1st attempt
-    /** Shared-memory handoff ring; nullptr = tmp-file handoff only.
-     *  Must have at least `jobs` slots. Not owned. */
-    svc::RecordRing* ring = nullptr;
-    /** Invoked once per scheduler sweep (lease heartbeats etc.). */
+    /** Invoked once per scheduler wakeup (lease heartbeats etc.). */
     std::function<void()> tick;
 };
 
@@ -59,23 +62,22 @@ struct ChildOutcome {
         Exited,  ///< child exited; `exitCode` is valid
         Signal,  ///< child died on `signal`, retries exhausted
         Timeout, ///< wall-clock budget exceeded, retries exhausted
-        SpawnError, ///< fork/exec itself failed
+        SpawnError, ///< pipe/fork/exec itself failed
     };
     Kind kind = Kind::Exited;
     int exitCode = 0;
     int signal = 0;
     int attempts = 1;
     std::string detail; ///< human-readable diagnostic
-    // Ring handoff (valid only for Kind::Exited).
-    bool hasPayload = false; ///< `payload` was drained from the ring
-    bool overflow = false;   ///< child marked OVERFLOW (tmp file holds it)
-    std::string payload;     ///< the record line the child published
+    /** What the final attempt wrote to kRecordFd, trailing newline
+     *  stripped; empty when it wrote nothing or tore the record. */
+    std::string record;
 };
 
 /** What the scheduler did, summed over the whole run. */
 struct RunnerStats {
-    std::size_t spawns = 0;       ///< children actually forked
-    std::size_t ringReclaims = 0; ///< slots reclaimed mid-WRITING
+    std::size_t spawns = 0;      ///< children actually forked
+    std::size_t tornRecords = 0; ///< attempts that died mid-write
 };
 
 /**
@@ -88,11 +90,11 @@ struct RunnerStats {
 class Runner
 {
   public:
-    /** Child command line for @p s, attempt number (1-based), and the
-     *  assigned ring slot (-1 = no ring attached); argv[0] is the
-     *  executable. */
-    using CommandFn = std::function<std::vector<std::string>(
-        const Scenario&, int attempt, int ring_slot)>;
+    /** Child command line for @p s and attempt number (1-based);
+     *  argv[0] is the executable. */
+    using CommandFn =
+        std::function<std::vector<std::string>(const Scenario&,
+                                               int attempt)>;
     /** Invoked from the scheduling loop once per finished scenario. */
     using DoneFn =
         std::function<void(const Scenario&, const ChildOutcome&)>;

@@ -253,6 +253,13 @@ buildScenario(Scenario& s, const std::vector<Binding>& bindings,
     if (const JsonValue* v = d.find("timeout_sec")) {
         if (v->kind != JsonValue::Kind::Number || v->number <= 0)
             fail("\"timeout_sec\" must be a positive number");
+        if (v->number > static_cast<double>(kMaxTimeoutSec)) {
+            char got[32];
+            std::snprintf(got, sizeof got, "%g", v->number);
+            fail("\"timeout_sec\" must be at most " +
+                 std::to_string(kMaxTimeoutSec) + " (one day), got " +
+                 got);
+        }
         s.timeoutSec = v->number;
     }
     if (const JsonValue* v = d.find("retries")) {

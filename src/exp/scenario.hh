@@ -37,6 +37,10 @@
 namespace wwt::exp
 {
 
+/** Largest accepted per-attempt timeout, from a campaign file's
+ *  `timeout_sec` or the `--timeout` flag: one day. */
+inline constexpr std::uint64_t kMaxTimeoutSec = 86400;
+
 /** A tolerance band over one single-run metric (see shapeMetric()). */
 struct ShapeBand {
     std::string key;

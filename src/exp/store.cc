@@ -272,7 +272,6 @@ Store::create() const
     makeDir(dir_ + "/logs");
     makeDir(dir_ + "/metrics");
     makeDir(dir_ + "/hostprof");
-    makeDir(dir_ + "/tmp");
     makeDir(leasesDir());
 }
 

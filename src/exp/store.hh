@@ -12,9 +12,6 @@
  *   <dir>/metrics/<id>.json  full wwtcmp.metrics/2 manifest per run
  *   <dir>/hostprof/<id>.json  wwtcmp.hostprof/1 host-time profile
  *                         (only when the campaign ran --host-prof)
- *   <dir>/tmp/            child-written records before validation
- *                         (overflow fallback; the primary handoff is
- *                         the shared-memory record ring, svc/ring.hh)
  *   <dir>/leases/         scenario leases for cooperating workers
  *                         (svc/lease.hh; empty in single-runner mode)
  *
@@ -27,8 +24,8 @@
  * host-phase breakdown when --host-prof was on) — all additive keys;
  * readers of older stores see zeros/empty.
  * Only the parent process appends to results.jsonl (children hand
- * records back through the shared-memory ring or tmp/ and the parent
- * validates before adopting), so the file needs no locking. In
+ * records back over a pipe, see exp/runner.hh; the parent validates
+ * them before adopting), so the file needs no locking. In
  * multi-worker mode (`--workers`) every cooperating runner keeps the
  * same invariant by appending to its own shard file,
  * results.<worker>.jsonl; readers fold *all* results files. Within
@@ -201,10 +198,6 @@ class Store
     std::string metricsPath(const std::string& id) const
     {
         return dir_ + "/metrics/" + id + ".json";
-    }
-    std::string tmpRecordPath(const std::string& id) const
-    {
-        return dir_ + "/tmp/" + id + ".json";
     }
     std::string hostprofPath(const std::string& id) const
     {

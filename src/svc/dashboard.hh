@@ -8,11 +8,9 @@
  * directory of *static* documents — per-campaign HTML (cycle tables,
  * shape-gate status, host-phase profile, cache provenance), the
  * campaign-report/1 and wwtcmp.analysis/1 JSON documents, and a root
- * index with a perf-trajectory sparkline — then (optionally) serves
- * the directory over HTTP (svc/http.hh). Rendering and serving are
- * split on purpose: the generator touches the store, the server
- * never does, so a crashed or killed server cannot corrupt anything
- * and the rendered tree can be published by any file host.
+ * index with a perf-trajectory sparkline. The tree is a snapshot:
+ * whatever publishes it (any static file host) never touches the
+ * store, so it cannot corrupt anything.
  *
  * Every page is byte-deterministic for a deterministic store: no
  * timestamps, no environment, map-ordered iteration. Re-rendering an

@@ -2,20 +2,26 @@
  * @file
  * Tests for the campaign subsystem (src/exp/): scenario parsing and
  * sweep expansion, profile layering, config hashing, the JSONL result
- * store, shape checking, report/diff, and — through the real
- * wwtcmp_campaign binary — crash isolation, retry, and resume.
+ * store, shape checking, report/diff, the runner driven directly with
+ * /bin/sh children, and — through the real wwtcmp_campaign binary —
+ * crash isolation, retry, and resume.
  */
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <sstream>
 
 #include "exp/registry.hh"
 #include "exp/report.hh"
+#include "exp/runner.hh"
 #include "exp/scenario.hh"
 #include "exp/store.hh"
 
@@ -175,6 +181,16 @@ TEST(CampaignParse, StrictErrors)
     EXPECT_THROW(load(R"({"schema": "wwtcmp.campaign/2",
                           "name": "t", "scenarios": []})"),
                  std::runtime_error);
+    // A timeout past one day (the --timeout bound) would overflow the
+    // runner's clock arithmetic; one day exactly is accepted.
+    EXPECT_THROW(load(campaignDoc(R"({"app": "em3d",
+                                      "timeout_sec": 1e10})")),
+                 std::runtime_error);
+    EXPECT_THROW(load(campaignDoc(R"({"app": "em3d",
+                                      "timeout_sec": 1e300})")),
+                 std::runtime_error);
+    EXPECT_NO_THROW(load(campaignDoc(R"({"app": "em3d",
+                                         "timeout_sec": 86400})")));
     // A profile nobody mentions is a typo, not an empty selection.
     std::string path =
         writeFile(t.path + "/c.json",
@@ -611,4 +627,162 @@ TEST(CampaignE2E, TwoRunsOfTheSameCampaignShowZeroDrift)
         << os.str();
     // Running into an occupied directory is refused.
     EXPECT_EQ(runBinary("run " + camp + " --dir " + t.path + "/r1"), 2);
+}
+
+// ------------------------------------------------------------------
+// The runner, driven directly: it is command-agnostic, so /bin/sh
+// children exercise the record pipe, torn records and timeouts.
+// ------------------------------------------------------------------
+
+namespace
+{
+
+/** Scenarios @p ids with the given policy (nothing else is read). */
+std::vector<exp::Scenario>
+shellScenarios(const std::vector<std::string>& ids, double timeout_sec,
+               int retries)
+{
+    std::vector<exp::Scenario> out;
+    for (const std::string& id : ids) {
+        exp::Scenario s;
+        s.id = id;
+        s.timeoutSec = timeout_sec;
+        s.retries = retries;
+        out.push_back(s);
+    }
+    return out;
+}
+
+/** Run @p scenarios through exp::Runner; each attempt's command is
+ *  `/bin/sh -c <script(scenario, attempt)>`. */
+exp::RunnerStats
+runShell(const std::vector<exp::Scenario>& scenarios,
+         const std::function<std::string(const exp::Scenario&, int)>&
+             script,
+         std::map<std::string, exp::ChildOutcome>& outcomes,
+         std::size_t jobs = 1)
+{
+    TempDir logs;
+    exp::RunnerOptions opts;
+    opts.jobs = jobs;
+    opts.backoffSec = 0.01;
+    exp::Runner runner(opts, [&](const exp::Scenario& s, int attempt) {
+        return std::vector<std::string>{"/bin/sh", "-c",
+                                        script(s, attempt)};
+    });
+    return runner.run(
+        scenarios,
+        [&](const exp::Scenario& s, const exp::ChildOutcome& out) {
+            outcomes[s.id] = out;
+        },
+        [&](const exp::Scenario& s) {
+            return logs.path + "/" + s.id + ".log";
+        });
+}
+
+} // namespace
+
+TEST(Runner, RecordWrittenToFd3ArrivesWhole)
+{
+    std::map<std::string, exp::ChildOutcome> out;
+    exp::RunnerStats st = runShell(
+        shellScenarios({"a", "b", "c"}, 60, 0),
+        [](const exp::Scenario& s, int) {
+            return "echo noise; printf '{\"id\":\"" + s.id +
+                   "\"}\\n' >&3";
+        },
+        out, /*jobs=*/2);
+    EXPECT_EQ(st.spawns, 3u);
+    EXPECT_EQ(st.tornRecords, 0u);
+    ASSERT_EQ(out.size(), 3u);
+    for (const auto& [id, o] : out) {
+        EXPECT_EQ(o.kind, exp::ChildOutcome::Kind::Exited) << id;
+        EXPECT_EQ(o.exitCode, 0) << id;
+        EXPECT_EQ(o.attempts, 1) << id;
+        // stdout went to the log; only fd 3 carries the record.
+        EXPECT_EQ(o.record, "{\"id\":\"" + id + "\"}");
+    }
+}
+
+TEST(Runner, RecordLargerThanThePipeBufferArrivesWhole)
+{
+    // 200000 bytes is three times the 64 KB pipe buffer: the child
+    // only finishes if the parent reads while it runs.
+    std::map<std::string, exp::ChildOutcome> out;
+    exp::RunnerStats st = runShell(
+        shellScenarios({"big"}, 60, 0),
+        [](const exp::Scenario&, int) {
+            return std::string("head -c 200000 /dev/zero | tr '\\0' x "
+                               ">&3; echo >&3");
+        },
+        out);
+    EXPECT_EQ(st.tornRecords, 0u);
+    const exp::ChildOutcome& o = out.at("big");
+    EXPECT_EQ(o.kind, exp::ChildOutcome::Kind::Exited);
+    EXPECT_EQ(o.record, std::string(200000, 'x'));
+}
+
+TEST(Runner, TornRecordIsCountedRetriedAndEndsAsSignal)
+{
+    // Attempt 1 dies mid-write (torn); attempt 2 dies before writing
+    // anything (not torn). Retries run out after attempt 2.
+    std::map<std::string, exp::ChildOutcome> out;
+    exp::RunnerStats st = runShell(
+        shellScenarios({"torn"}, 60, 1),
+        [](const exp::Scenario&, int attempt) {
+            return std::string(attempt == 1
+                                   ? "printf '{\"half' >&3; kill -9 $$"
+                                   : "kill -9 $$");
+        },
+        out);
+    EXPECT_EQ(st.spawns, 2u);
+    EXPECT_EQ(st.tornRecords, 1u);
+    const exp::ChildOutcome& o = out.at("torn");
+    EXPECT_EQ(o.kind, exp::ChildOutcome::Kind::Signal);
+    EXPECT_EQ(o.signal, SIGKILL);
+    EXPECT_EQ(o.attempts, 2);
+    EXPECT_TRUE(o.record.empty());
+}
+
+TEST(Runner, WallClockTimeoutKillsAndRetries)
+{
+    std::map<std::string, exp::ChildOutcome> out;
+    auto t0 = std::chrono::steady_clock::now();
+    exp::RunnerStats st = runShell(
+        shellScenarios({"slow"}, 0.2, 1),
+        [](const exp::Scenario&, int) {
+            return std::string("exec sleep 5");
+        },
+        out);
+    double sec = std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count();
+    EXPECT_EQ(st.spawns, 2u);
+    const exp::ChildOutcome& o = out.at("slow");
+    EXPECT_EQ(o.kind, exp::ChildOutcome::Kind::Timeout);
+    EXPECT_EQ(o.attempts, 2);
+    EXPECT_NE(o.detail.find("wall-clock budget"), std::string::npos)
+        << o.detail;
+    // Two 0.2 s budgets plus backoff, nowhere near the 5 s sleeps.
+    EXPECT_LT(sec, 3.0);
+}
+
+TEST(Runner, ExecOfAMissingBinaryIsASpawnError)
+{
+    TempDir logs;
+    std::vector<exp::Scenario> sc = shellScenarios({"ghost"}, 60, 2);
+    exp::Runner runner({}, [](const exp::Scenario&, int) {
+        return std::vector<std::string>{"/nonexistent/wwt-no-such-bin"};
+    });
+    std::map<std::string, exp::ChildOutcome> out;
+    exp::RunnerStats st = runner.run(
+        sc,
+        [&](const exp::Scenario& s, const exp::ChildOutcome& o) {
+            out[s.id] = o;
+        },
+        [&](const exp::Scenario&) { return logs.path + "/ghost.log"; });
+    EXPECT_EQ(st.spawns, 1u);
+    const exp::ChildOutcome& o = out.at("ghost");
+    EXPECT_EQ(o.kind, exp::ChildOutcome::Kind::SpawnError);
+    EXPECT_EQ(o.attempts, 1); // exec failures are not retried
 }

@@ -1,11 +1,11 @@
 /**
  * @file
- * Tests for the campaign service (src/svc/): the shared-memory record
- * ring's slot lifecycle and crash reclaim, the scenario lease
+ * Tests for the campaign service (src/svc/): the scenario lease
  * protocol, the content-addressed cache index, the multi-file store
- * fold, the HTTP read side, and — through the real wwtcmp_campaign
- * binary — warm-cache runs, the resume-prefers-pass regression,
- * chaos-killed ring writers, and two cooperating workers on one store.
+ * fold, and — through the real wwtcmp_campaign binary — warm-cache
+ * runs, the resume-prefers-pass regression, children killed
+ * mid-record-write, a runner started with stdin closed, two
+ * cooperating workers on one store, and the static dashboard.
  */
 
 #include <gtest/gtest.h>
@@ -14,19 +14,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
-#include <thread>
-
-#include <netinet/in.h>
-#include <sys/socket.h>
 
 #include "exp/store.hh"
 #include "svc/cache_index.hh"
-#include "svc/http.hh"
 #include "svc/lease.hh"
-#include "svc/ring.hh"
 
 using namespace wwt;
 
@@ -111,96 +104,6 @@ passRecord(const std::string& id, const std::string& hash)
 }
 
 } // namespace
-
-// ------------------------------------------------------------------
-// Record ring.
-// ------------------------------------------------------------------
-
-TEST(RecordRing, ClaimPublishDrainRecycleLifecycle)
-{
-    TempDir t;
-    auto ring = svc::RecordRing::create(t.path + "/ring", 2, 128);
-    ASSERT_TRUE(ring.valid());
-    EXPECT_EQ(ring.slots(), 2u);
-    EXPECT_EQ(ring.payloadBytes(), 128u);
-    EXPECT_EQ(ring.state(0), svc::RecordRing::kFree);
-
-    // Child side: claim, publish.
-    EXPECT_TRUE(ring.claim(0));
-    EXPECT_EQ(ring.state(0), svc::RecordRing::kWriting);
-    EXPECT_FALSE(ring.claim(0)); // not FREE any more
-    EXPECT_TRUE(ring.publish(0, "{\"ok\":1}"));
-    EXPECT_EQ(ring.state(0), svc::RecordRing::kReady);
-
-    // Parent side: drain, recycle.
-    std::string out;
-    EXPECT_TRUE(ring.drain(0, out));
-    EXPECT_EQ(out, "{\"ok\":1}");
-    EXPECT_EQ(ring.state(0), svc::RecordRing::kDrained);
-    EXPECT_FALSE(ring.drain(0, out)); // only READY drains
-    ring.recycle(0);
-    EXPECT_EQ(ring.state(0), svc::RecordRing::kFree);
-
-    // Slot 1 never touched.
-    EXPECT_EQ(ring.state(1), svc::RecordRing::kFree);
-}
-
-TEST(RecordRing, OversizedPayloadFallsBackToOverflow)
-{
-    TempDir t;
-    auto ring = svc::RecordRing::create(t.path + "/ring", 1, 16);
-    ASSERT_TRUE(ring.claim(0));
-    std::string big(17, 'x');
-    EXPECT_FALSE(ring.publish(0, big));
-    EXPECT_EQ(ring.state(0), svc::RecordRing::kWriting);
-    ring.markOverflow(0);
-    EXPECT_EQ(ring.state(0), svc::RecordRing::kOverflow);
-    std::string out;
-    EXPECT_FALSE(ring.drain(0, out)); // parent must use the tmp file
-    ring.recycle(0);
-    EXPECT_EQ(ring.state(0), svc::RecordRing::kFree);
-}
-
-TEST(RecordRing, MidWritingDeathIsDetectableAndReclaimable)
-{
-    TempDir t;
-    auto ring = svc::RecordRing::create(t.path + "/ring", 1);
-    ASSERT_TRUE(ring.claim(0));
-    // The child dies here: no publish, no markOverflow. The parent
-    // sees WRITING after the reap and reclaims; the half-written
-    // payload is never read because length is only trusted at READY.
-    std::memcpy(ring.rawPayload(0), "gar", 3);
-    EXPECT_EQ(ring.state(0), svc::RecordRing::kWriting);
-    std::string out;
-    EXPECT_FALSE(ring.drain(0, out));
-    ring.recycle(0);
-    EXPECT_TRUE(ring.claim(0)); // usable again
-}
-
-TEST(RecordRing, OpenSharesStateWithCreator)
-{
-    TempDir t;
-    std::string path = t.path + "/ring";
-    auto parent = svc::RecordRing::create(path, 2);
-    auto child = svc::RecordRing::open(path); // same mapping, new fd
-    ASSERT_TRUE(child.valid());
-    EXPECT_EQ(child.slots(), 2u);
-    ASSERT_TRUE(child.claim(1));
-    ASSERT_TRUE(child.publish(1, "from-child"));
-    std::string out;
-    EXPECT_TRUE(parent.drain(1, out));
-    EXPECT_EQ(out, "from-child");
-}
-
-TEST(RecordRing, OpenRejectsMissingAndMalformedFiles)
-{
-    TempDir t;
-    EXPECT_THROW(svc::RecordRing::open(t.path + "/absent"),
-                 std::runtime_error);
-    writeFile(t.path + "/junk", "not a ring file");
-    EXPECT_THROW(svc::RecordRing::open(t.path + "/junk"),
-                 std::runtime_error);
-}
 
 // ------------------------------------------------------------------
 // Leases.
@@ -418,84 +321,6 @@ TEST(CacheIndex, MissingStoreIsEmptyNotAnError)
 }
 
 // ------------------------------------------------------------------
-// HTTP read side.
-// ------------------------------------------------------------------
-
-TEST(HttpServer, BuildResponseMapsPathsOntoRoot)
-{
-    TempDir t;
-    writeFile(t.path + "/index.html", "<html>root</html>");
-    writeFile(t.path + "/report.json", "{\"a\":1}");
-
-    std::string r =
-        svc::HttpServer::buildResponse("GET", "/", t.path);
-    EXPECT_NE(r.find("200 OK"), std::string::npos);
-    EXPECT_NE(r.find("text/html"), std::string::npos);
-    EXPECT_NE(r.find("<html>root</html>"), std::string::npos);
-
-    r = svc::HttpServer::buildResponse("GET", "/report.json?x=1",
-                                       t.path);
-    EXPECT_NE(r.find("200 OK"), std::string::npos);
-    EXPECT_NE(r.find("application/json"), std::string::npos);
-
-    // HEAD: headers only.
-    r = svc::HttpServer::buildResponse("HEAD", "/report.json", t.path);
-    EXPECT_NE(r.find("200 OK"), std::string::npos);
-    EXPECT_EQ(r.find("{\"a\":1}"), std::string::npos);
-
-    EXPECT_NE(
-        svc::HttpServer::buildResponse("GET", "/absent", t.path)
-            .find("404"),
-        std::string::npos);
-    EXPECT_NE(svc::HttpServer::buildResponse(
-                  "GET", "/../../etc/passwd", t.path)
-                  .find("400"),
-              std::string::npos);
-    EXPECT_NE(
-        svc::HttpServer::buildResponse("POST", "/", t.path).find("405"),
-        std::string::npos);
-    // Responses are deterministic: no Date header.
-    EXPECT_EQ(svc::HttpServer::buildResponse("GET", "/", t.path)
-                  .find("Date:"),
-              std::string::npos);
-}
-
-TEST(HttpServer, ServesOneRealConnection)
-{
-    TempDir t;
-    writeFile(t.path + "/index.html", "<html>hello</html>");
-    svc::HttpServer server(t.path);
-    std::string err;
-    ASSERT_TRUE(server.bind("127.0.0.1", 0, err)) << err;
-    ASSERT_GT(server.port(), 0);
-
-    std::string response;
-    std::thread client([&] {
-        int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-        ASSERT_GE(fd, 0);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<uint16_t>(server.port()));
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                            sizeof addr),
-                  0);
-        std::string req = "GET / HTTP/1.0\r\n\r\n";
-        ASSERT_EQ(::send(fd, req.data(), req.size(), 0),
-                  static_cast<ssize_t>(req.size()));
-        char buf[4096];
-        ssize_t n;
-        while ((n = ::recv(fd, buf, sizeof buf, 0)) > 0)
-            response.append(buf, static_cast<std::size_t>(n));
-        ::close(fd);
-    });
-    EXPECT_TRUE(server.handleOne(err)) << err;
-    client.join();
-    EXPECT_NE(response.find("200 OK"), std::string::npos);
-    EXPECT_NE(response.find("<html>hello</html>"), std::string::npos);
-}
-
-// ------------------------------------------------------------------
 // End-to-end through the real binary.
 // ------------------------------------------------------------------
 
@@ -650,7 +475,7 @@ TEST(SvcE2E, JobsClampAndStrictZeroDiagnostic)
     EXPECT_NE(out.find("clamping to 3"), std::string::npos) << out;
 }
 
-TEST(SvcE2E, ChaosWriteKillReclaimsSlotAndRetries)
+TEST(SvcE2E, ChaosWriteKillCountsTornRecordAndRetries)
 {
     TempDir t;
     std::string camp = writeFile(t.path + "/c.json", e2eCampaign());
@@ -660,11 +485,34 @@ TEST(SvcE2E, ChaosWriteKillReclaimsSlotAndRetries)
                                    "ok-a",
                                out),
               0);
-    EXPECT_NE(out.find("1 ring reclaim(s)"), std::string::npos) << out;
+    EXPECT_NE(out.find("1 torn record(s)"), std::string::npos) << out;
     auto latest = exp::Store(t.path + "/r").loadLatest();
     ASSERT_EQ(latest.size(), 3u);
     EXPECT_EQ(latest.at("ok-a").status, exp::RunStatus::Pass);
     EXPECT_EQ(latest.at("ok-a").attempts, 2);
+}
+
+TEST(SvcE2E, ClosedStdinStillHandsEveryRecordBack)
+{
+    // With fds 0 and 3 closed, the first record pipe is (0, 3): its
+    // write end already sits on the fd the child expects, and only
+    // clearing FD_CLOEXEC keeps it open across exec.
+    TempDir t;
+    std::string camp = writeFile(t.path + "/c.json", e2eCampaign());
+    std::string out;
+    EXPECT_EQ(runBinaryCapture("run " + camp + " --dir " + t.path +
+                                   "/r --jobs 2 <&- 3>&-",
+                               out),
+              0);
+    EXPECT_NE(out.find("3 executed"), std::string::npos) << out;
+    EXPECT_NE(out.find("0 torn record(s)"), std::string::npos) << out;
+    auto latest = exp::Store(t.path + "/r").loadLatest();
+    ASSERT_EQ(latest.size(), 3u);
+    for (const auto& [id, rec] : latest) {
+        EXPECT_EQ(rec.status, exp::RunStatus::Pass)
+            << id << ": " << rec.error;
+        EXPECT_EQ(rec.attempts, 1) << id;
+    }
 }
 
 TEST(SvcE2E, TwoCooperatingWorkersShareOneStore)

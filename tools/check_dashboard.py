@@ -18,11 +18,6 @@ and asserts the rendered tree agrees:
     exactly N (CI uses 0 to prove a warm re-run adopted everything
     from the cache and executed nothing).
 
-Optionally, --probe-url GETs one URL (normally against a
-`serve --once` instance) and checks the body matches the on-disk
-report.json byte for byte — the HTTP layer must not introduce any
-nondeterminism.
-
 Exit code 0 on success; 1 with a diagnostic on the first mismatch.
 """
 
@@ -30,7 +25,6 @@ import argparse
 import json
 import os
 import sys
-import urllib.request
 
 
 def fail(msg: str) -> None:
@@ -133,9 +127,6 @@ def main() -> None:
     ap.add_argument("--expect-executed", type=int, default=None,
                     help="require this exact executed count in every "
                          "store's report.json summary")
-    ap.add_argument("--probe-url", default=None,
-                    help="GET this URL and compare against the first "
-                         "store's on-disk report.json")
     args = ap.parse_args()
 
     root = os.path.join(args.tree, "index.html")
@@ -152,16 +143,6 @@ def main() -> None:
             suffix += 1
         names.append(name)
         check_store(args.tree, name, store, args.expect_executed)
-
-    if args.probe_url:
-        with urllib.request.urlopen(args.probe_url, timeout=10) as r:
-            body = r.read()
-        disk = os.path.join(args.tree, names[0], "report.json")
-        with open(disk, "rb") as f:
-            if f.read() != body:
-                fail(f"{args.probe_url} differs from {disk}")
-        print(f"check_dashboard: probe {args.probe_url} matches "
-              f"{disk} — OK")
 
     print("check_dashboard: OK")
 
