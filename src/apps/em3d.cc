@@ -99,80 +99,50 @@ Em3dGraph::make(const Em3dParams& params, std::size_t nprocs)
     return g;
 }
 
+Em3dPartition::Em3dPartition(const std::vector<Em3dEdge>& edges,
+                             std::size_t nprocs)
+    : edges(edges), out(nprocs), local(nprocs),
+      group(nprocs, std::vector<std::vector<std::uint32_t>>(nprocs)),
+      send(nprocs, std::vector<std::vector<std::uint32_t>>(nprocs)),
+      ghostBase(nprocs), ghostTotal(nprocs, 0), inTotal(nprocs, 0)
+{
+    for (std::uint32_t k = 0; k < edges.size(); ++k) {
+        const Em3dEdge& e = edges[k];
+        out[e.sp].push_back(k);
+        if (e.sp == e.tp) {
+            local[e.sp].push_back(k);
+        } else {
+            group[e.sp][e.tp].push_back(k);
+            send[e.sp][e.tp].push_back(e.si);
+        }
+        inTotal[e.tp]++;
+    }
+    for (std::size_t q = 0; q < nprocs; ++q) {
+        ghostBase[q].assign(nprocs, 0);
+        std::size_t run = 0;
+        for (std::size_t p = 0; p < nprocs; ++p) {
+            ghostBase[q][p] = run;
+            run += send[p][q].size();
+        }
+        ghostTotal[q] = run;
+    }
+}
+
 namespace
 {
 
 constexpr double kSourceTerm = 0.2;
 
-/** Per-direction host view used to lay out the MP data structures. */
-struct DirView {
-    struct InEdge {
-        bool remote;
-        NodeId p;          ///< producer proc
-        std::uint32_t ord; ///< ordinal within the (q, p) ghost group
-        std::uint32_t si;  ///< source node index (local edges)
-        double w;
-    };
-
-    std::size_t P, n;
-    /** send[p][q]: source indices p streams to q, in edge order. */
-    std::vector<std::vector<std::vector<std::uint32_t>>> send;
-    /** in[q][ti]: in-edges of node ti on q, canonical order. */
-    std::vector<std::vector<std::vector<InEdge>>> in;
-    /** ghostBase[q][p]: first ghost slot of producer p on q. */
-    std::vector<std::vector<std::size_t>> ghostBase;
-    std::vector<std::size_t> ghostTotal;
-    std::vector<std::size_t> inTotal;
-
-    DirView(const std::vector<Em3dEdge>& edges, std::size_t nprocs,
-            std::size_t nnodes)
-        : P(nprocs), n(nnodes), send(P), in(P), ghostBase(P),
-          ghostTotal(P, 0), inTotal(P, 0)
-    {
-        for (auto& s : send)
-            s.assign(P, {});
-        for (auto& i : in)
-            i.assign(n, {});
-        std::vector<std::vector<std::size_t>> cnt(P);
-        for (auto& c : cnt)
-            c.assign(P, 0);
-
-        for (const auto& e : edges) {
-            InEdge ie;
-            ie.remote = e.sp != e.tp;
-            ie.p = e.sp;
-            ie.si = e.si;
-            ie.w = e.w;
-            ie.ord = 0;
-            if (ie.remote) {
-                ie.ord = static_cast<std::uint32_t>(cnt[e.tp][e.sp]++);
-                send[e.sp][e.tp].push_back(e.si);
-            }
-            in[e.tp][e.ti].push_back(ie);
-            inTotal[e.tp]++;
-        }
-        for (std::size_t q = 0; q < P; ++q) {
-            ghostBase[q].assign(P, 0);
-            std::size_t run = 0;
-            for (std::size_t p = 0; p < P; ++p) {
-                ghostBase[q][p] = run;
-                run += cnt[q][p];
-            }
-            ghostTotal[q] = run;
-        }
-    }
-};
-
 /** Static channel ids for the two half-step value streams. */
 std::uint32_t
 chanH(NodeId producer) // carries H values (consumed by E updates)
 {
-    return 0x6000u + producer;
+    return mp::chan::kEm3dH + producer;
 }
 std::uint32_t
 chanE(NodeId producer) // carries E values (consumed by H updates)
 {
-    return 0x6800u + producer;
+    return mp::chan::kEm3dE + producer;
 }
 
 } // namespace
@@ -186,9 +156,12 @@ runEm3dMp(mp::MpMachine& m, const Em3dParams& p)
 {
     const std::size_t P = m.nprocs();
     const std::size_t n = p.nodesPerProc;
+    mp::chan::requireIds(mp::chan::kEm3dH, P, "EM3D-MP H streams");
+    mp::chan::requireIds(mp::chan::kEm3dE, P, "EM3D-MP E streams");
+    mp::Cmmd::requireSenders(P); // the edge-info exchange
     Em3dGraph g = Em3dGraph::make(p, P);
-    DirView dvE(g.hToE, P, n); // feeds E updates (H sources)
-    DirView dvH(g.eToH, P, n); // feeds H updates (E sources)
+    Em3dPartition dvE(g.hToE, P); // feeds E updates (H sources)
+    Em3dPartition dvH(g.eToH, P); // feeds H updates (E sources)
 
     Em3dResult res;
     res.eVals.assign(P * n, 0.0);
@@ -227,7 +200,8 @@ runEm3dMp(mp::MpMachine& m, const Em3dParams& p)
         // Message layout: u32 count, then per edge {u32 ti, u32 si,
         // double w}, for the E-feeding direction then the H-feeding
         // direction.
-        auto msgBytes = [&](const DirView& dv, NodeId from, NodeId to) {
+        auto msgBytes = [&](const Em3dPartition& dv, NodeId from,
+                            NodeId to) {
             return 8 + dv.send[from][to].size() * 16;
         };
         std::vector<Addr> rbuf(P, 0);
@@ -247,25 +221,20 @@ runEm3dMp(mp::MpMachine& m, const Em3dParams& p)
                                 msgBytes(dvH, me, q);
             Addr sbuf = mem.alloc(bytes, kBlockBytes);
             Addr w = sbuf;
-            for (const DirView* dv : {&dvE, &dvH}) {
+            for (const Em3dPartition* dv : {&dvE, &dvH}) {
+                const auto& group = dv->group[me][q];
                 // Count word (padded to 8 bytes).
                 mem.write<std::uint32_t>(
-                    w, static_cast<std::uint32_t>(
-                           dv->send[me][q].size()));
+                    w, static_cast<std::uint32_t>(group.size()));
                 w += 8;
-                std::size_t k = 0;
-                for (const auto& e :
-                     (dv == &dvE ? g.hToE : g.eToH)) {
-                    if (e.sp != me || e.tp != q)
-                        continue;
+                for (std::uint32_t k : group) {
+                    const Em3dEdge& e = dv->edges[k];
                     mem.write<std::uint32_t>(w, e.ti);
                     mem.poke<std::uint32_t>(w + 4, e.si);
                     mem.write<double>(w + 8, e.w);
                     nd.charge(p.initEdgeCycles);
                     w += 16;
-                    ++k;
                 }
-                (void)k;
             }
             nd.cmmd.send(q, 1, sbuf, bytes);
         }
@@ -277,21 +246,18 @@ runEm3dMp(mp::MpMachine& m, const Em3dParams& p)
         // Build the in-edge arrays. First pass: in-degrees (local
         // out-edges plus the received remote-edge info); second pass:
         // fill, pointing remote edges at their ghost slots.
-        for (const DirView* dv : {&dvE, &dvH}) {
+        for (const Em3dPartition* dv : {&dvE, &dvH}) {
             bool isE = dv == &dvE;
             Addr edge = isE ? edgeE : edgeH;
             Addr off = isE ? offE : offH;
             Addr ghost = isE ? ghostE : ghostH;
             Addr srcVals = isE ? hVal : eVal;
-            const auto& edges = isE ? g.hToE : g.eToH;
 
             std::vector<std::uint32_t> deg(n, 0);
             // Local edges.
-            for (const auto& e : edges) {
-                if (e.sp == me && e.tp == me) {
-                    deg[e.ti]++;
-                    nd.charge(2);
-                }
+            for (std::uint32_t k : dv->local[me]) {
+                deg[dv->edges[k].ti]++;
+                nd.charge(2);
             }
             // Remote edges: first read of the received edge info.
             std::size_t dirOff = isE ? 0 : 1;
@@ -323,14 +289,13 @@ runEm3dMp(mp::MpMachine& m, const Em3dParams& p)
                     mem.read<std::uint32_t>(off + ti * 4);
                 return base + cur[ti]++;
             };
-            for (const auto& e : edges) {
-                if (e.sp == me && e.tp == me) {
-                    std::uint32_t slot = offsetOf(e.ti);
-                    mem.write<std::uint64_t>(edge + slot * 16,
-                                             srcVals + e.si * 8);
-                    mem.write<double>(edge + slot * 16 + 8, e.w);
-                    nd.charge(p.initEdgeCycles);
-                }
+            for (std::uint32_t k : dv->local[me]) {
+                const Em3dEdge& e = dv->edges[k];
+                std::uint32_t slot = offsetOf(e.ti);
+                mem.write<std::uint64_t>(edge + slot * 16,
+                                         srcVals + e.si * 8);
+                mem.write<double>(edge + slot * 16 + 8, e.w);
+                nd.charge(p.initEdgeCycles);
             }
             std::vector<std::size_t> gcur(P, 0);
             for (NodeId q = 0; q < P; ++q) {
@@ -346,7 +311,7 @@ runEm3dMp(mp::MpMachine& m, const Em3dParams& p)
                     double wt = mem.read<double>(w + 8);
                     std::uint32_t slot = offsetOf(ti);
                     std::size_t gslot =
-                        (isE ? dvE : dvH).ghostBase[me][q] + gcur[q]++;
+                        dv->ghostBase[me][q] + gcur[q]++;
                     mem.write<std::uint64_t>(edge + slot * 16,
                                              ghost + gslot * 8);
                     mem.write<double>(edge + slot * 16 + 8, wt);
@@ -380,7 +345,7 @@ runEm3dMp(mp::MpMachine& m, const Em3dParams& p)
         nd.setPhase(1);
 
         // ---- Phase 1: main loop ----
-        auto halfStep = [&](const DirView& dv, Addr srcVals,
+        auto halfStep = [&](const Em3dPartition& dv, Addr srcVals,
                             Addr dstVals, Addr edge, Addr off,
                             std::uint32_t (*chan)(NodeId),
                             std::size_t t) {
@@ -448,8 +413,8 @@ runEm3dSm(sm::SmMachine& m, const Em3dParams& p)
     const std::size_t P = m.nprocs();
     const std::size_t n = p.nodesPerProc;
     Em3dGraph g = Em3dGraph::make(p, P);
-    DirView dvE(g.hToE, P, n);
-    DirView dvH(g.eToH, P, n);
+    Em3dPartition dvE(g.hToE, P);
+    Em3dPartition dvH(g.eToH, P);
 
     Em3dResult res;
     res.eVals.assign(P * n, 0.0);
@@ -501,11 +466,10 @@ runEm3dSm(sm::SmMachine& m, const Em3dParams& p)
 
         // Pass 1: every processor walks its out-edges and increments
         // the (possibly remote) sink's in-degree under a lock.
-        auto countPass = [&](const std::vector<Em3dEdge>& edges,
+        auto countPass = [&](const Em3dPartition& dv,
                              std::vector<Addr>& deg) {
-            for (const auto& e : edges) {
-                if (e.sp != me)
-                    continue;
+            for (std::uint32_t k : dv.out[me]) {
+                const Em3dEdge& e = dv.edges[k];
                 nd.lockAcquire(lockOf(e.tp, e.ti));
                 std::uint32_t d =
                     nd.rd<std::uint32_t>(deg[e.tp] + e.ti * 4);
@@ -514,8 +478,8 @@ runEm3dSm(sm::SmMachine& m, const Em3dParams& p)
                 nd.charge(p.initEdgeCycles / 2 + 1);
             }
         };
-        countPass(g.hToE, degE);
-        countPass(g.eToH, degH);
+        countPass(dvE, degE);
+        countPass(dvH, degH);
         nd.barrier();
 
         // Pass 2: each processor prefix-sums its own nodes' degrees.
@@ -534,14 +498,13 @@ runEm3dSm(sm::SmMachine& m, const Em3dParams& p)
 
         // Pass 3: second reference to the edge info — fill the sink's
         // edge array (remote writes under the same locks).
-        auto fillPass = [&](const std::vector<Em3dEdge>& edges,
+        auto fillPass = [&](const Em3dPartition& dv,
                             std::vector<Addr>& srcVals,
                             std::vector<Addr>& edge,
                             std::vector<Addr>& off,
                             std::vector<Addr>& cur) {
-            for (const auto& e : edges) {
-                if (e.sp != me)
-                    continue;
+            for (std::uint32_t k : dv.out[me]) {
+                const Em3dEdge& e = dv.edges[k];
                 nd.lockAcquire(lockOf(e.tp, e.ti));
                 std::uint32_t base =
                     nd.rd<std::uint32_t>(off[e.tp] + e.ti * 4);
@@ -556,8 +519,8 @@ runEm3dSm(sm::SmMachine& m, const Em3dParams& p)
                 nd.charge(p.initEdgeCycles / 2 + 1);
             }
         };
-        fillPass(g.hToE, hVal, edgeE, offE, curE);
-        fillPass(g.eToH, eVal, edgeH, offH, curH);
+        fillPass(dvE, hVal, edgeE, offE, curE);
+        fillPass(dvH, eVal, edgeH, offH, curH);
 
         // The "few barriers that prevent premature access".
         nd.barrier();
@@ -573,7 +536,7 @@ runEm3dSm(sm::SmMachine& m, const Em3dParams& p)
         };
         std::vector<PushRun> pushAfterE, pushAfterH;
         if (p.smBulkUpdate) {
-            auto build = [&](const DirView& dv, Addr base,
+            auto build = [&](const Em3dPartition& dv, Addr base,
                              std::vector<PushRun>& out) {
                 for (NodeId q = 0; q < P; ++q) {
                     if (q == me || dv.send[me][q].empty())

@@ -79,6 +79,33 @@ struct Em3dGraph {
     static Em3dGraph make(const Em3dParams& params, std::size_t nprocs);
 };
 
+/**
+ * One direction's edge list partitioned by producer, built once on the
+ * host before a run so that each processor walks only its own edges:
+ * O(E) host work in all, where filtering the global list per processor
+ * and partner would cost O(P^2 E). The out, local and group lists hold
+ * indices into `edges`, ascending, so a walk visits edges in the
+ * global order the simulated accesses follow.
+ */
+struct Em3dPartition {
+    const std::vector<Em3dEdge>& edges;
+    /** out[p]: edges with sp == p. */
+    std::vector<std::vector<std::uint32_t>> out;
+    /** local[p]: edges with sp == tp == p. */
+    std::vector<std::vector<std::uint32_t>> local;
+    /** group[p][q]: edges p streams to q (p != q). */
+    std::vector<std::vector<std::vector<std::uint32_t>>> group;
+    /** send[p][q]: source node index of each edge in group[p][q] --
+     *  the values p gathers for q every half-step. */
+    std::vector<std::vector<std::vector<std::uint32_t>>> send;
+    /** ghostBase[q][p]: first ghost slot of producer p on q (MP). */
+    std::vector<std::vector<std::size_t>> ghostBase;
+    std::vector<std::size_t> ghostTotal; ///< remote in-edges per proc
+    std::vector<std::size_t> inTotal;    ///< all in-edges per proc
+
+    Em3dPartition(const std::vector<Em3dEdge>& edges, std::size_t nprocs);
+};
+
 /** Result of one EM3D run. */
 struct Em3dResult {
     std::vector<double> eVals; ///< final E values, all procs

@@ -42,6 +42,7 @@ runGaussMp(mp::MpMachine& m, const GaussParams& p)
     const std::size_t n = p.n;
     if (n % P != 0)
         throw std::invalid_argument("n % nprocs != 0");
+    mp::Collectives::requireBcastProcs(P); // pivot-row broadcasts
     const std::size_t myRows = n / P;
 
     GaussResult res;

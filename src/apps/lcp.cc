@@ -142,6 +142,13 @@ finishResult(LcpResult& res, const LcpParams& p,
     return worst;
 }
 
+/** Static channel id of recursive-doubling stage @p s. */
+std::uint32_t
+stageChan(std::size_t s)
+{
+    return mp::chan::kLcpStage + static_cast<std::uint32_t>(s);
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -161,6 +168,11 @@ runLcpMp(mp::MpMachine& m, const LcpParams& p)
     const std::size_t nnz = 2 * p.halfBand;
     const std::size_t stages = static_cast<std::size_t>(
         std::countr_zero(P));
+    if (p.async)
+        mp::chan::requireIds(mp::chan::kLcpAsync, P, "LCP-MP streams");
+    else
+        mp::chan::requireIds(mp::chan::kLcpStage, stages,
+                             "LCP-MP exchange stages");
     const std::vector<std::size_t> offs = makeOffsets(n, p.halfBand);
 
     LcpResult res;
@@ -198,15 +210,15 @@ runLcpMp(mp::MpMachine& m, const LcpParams& p)
                 std::size_t group = std::size_t{1} << s;
                 std::size_t partner_start =
                     ((me >> s) << s) ^ group; // partner's block group
-                nd.chans.openStatic(
-                    0x7000u + static_cast<std::uint32_t>(s),
-                    z + partner_start * rows * 8, group * rows * 8);
+                nd.chans.openStatic(stageChan(s),
+                                    z + partner_start * rows * 8,
+                                    group * rows * 8);
             }
         } else {
             for (NodeId q = 0; q < P; ++q) {
                 if (q != me) {
-                    nd.chans.openStatic(0x7800u + q, z + q * rows * 8,
-                                        rows * 8);
+                    nd.chans.openStatic(mp::chan::kLcpAsync + q,
+                                        z + q * rows * 8, rows * 8);
                 }
             }
         }
@@ -254,7 +266,7 @@ runLcpMp(mp::MpMachine& m, const LcpParams& p)
                     // whatever has arrived.
                     for (NodeId q = 0; q < P; ++q) {
                         if (q != me) {
-                            nd.chans.write(q, 0x7800u + me,
+                            nd.chans.write(q, mp::chan::kLcpAsync + me,
                                            z + me * rows * 8,
                                            rows * 8);
                         }
@@ -269,12 +281,10 @@ runLcpMp(mp::MpMachine& m, const LcpParams& p)
                         me ^ (std::size_t{1} << s));
                     std::size_t group = std::size_t{1} << s;
                     std::size_t my_start = (me >> s) << s;
-                    nd.chans.write(
-                        partner,
-                        0x7000u + static_cast<std::uint32_t>(s),
-                        z + my_start * rows * 8, group * rows * 8);
-                    nd.chans.waitEpochs(
-                        0x7000u + static_cast<std::uint32_t>(s), step);
+                    nd.chans.write(partner, stageChan(s),
+                                   z + my_start * rows * 8,
+                                   group * rows * 8);
+                    nd.chans.waitEpochs(stageChan(s), step);
                 }
             }
             double resid = 0;

@@ -120,11 +120,11 @@ constexpr Addr kOffB = 32;
 constexpr Addr kOffDiag = 40;
 constexpr std::size_t kRec = 64;
 
-/** Reply channel id for sender q (outside the CMMD channel space). */
+/** Reply channel id for sender q. */
 std::uint32_t
 replyChan(NodeId q)
 {
-    return 0x4100u + q;
+    return mp::chan::kMseReply + q;
 }
 
 } // namespace
@@ -137,6 +137,7 @@ MseResult
 runMseMp(mp::MpMachine& m, const MseParams& p)
 {
     MseProblem g(p, m.nprocs());
+    mp::chan::requireIds(mp::chan::kMseReply, g.P, "MSE-MP replies");
     std::vector<double> sol(g.NM, 0.0);
 
     struct NodeState {

@@ -1,10 +1,32 @@
 #include "mp/channel.hh"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <iterator>
 #include <stdexcept>
 
 namespace wwt::mp
 {
+
+void
+chan::requireIds(std::uint32_t base, std::size_t count, const char* user)
+{
+    static constexpr std::uint32_t kBases[] = {
+        kMseReply, kEm3dH, kEm3dE, kLcpStage, kLcpAsync, kCmmd, kEnd};
+    const std::uint32_t* next =
+        std::upper_bound(std::begin(kBases), std::end(kBases), base);
+    assert(next != std::begin(kBases) && next != std::end(kBases) &&
+           next[-1] == base && "not a channel-range base");
+    if (count <= *next - base)
+        return;
+    char buf[192];
+    std::snprintf(buf, sizeof(buf),
+                  "%s need %zu channel ids from 0x%x, but their range "
+                  "ends at 0x%x (ids are 16-bit packet header fields)",
+                  user, count, base, *next - 1);
+    throw std::invalid_argument(buf);
+}
 
 ChannelMgr::ChannelMgr(sim::Processor& p, ActiveMessages& am, MpMemory& mem,
                        const core::MachineConfig& cfg)

@@ -35,6 +35,32 @@
 namespace wwt::mp
 {
 
+/**
+ * The channel-id map. A data packet's header word carries the id in
+ * its top 16 bits, so ids stay below 2^16. Each user owns a disjoint
+ * range, from its base up to the next base, so no stream can land on
+ * another's endpoint. Ids below kMseReply are free for ad-hoc use
+ * (tests, microbenchmarks).
+ */
+namespace chan
+{
+inline constexpr std::uint32_t kMseReply = 0x4100; ///< + replying proc
+inline constexpr std::uint32_t kEm3dH = 0x6000;    ///< + producer
+inline constexpr std::uint32_t kEm3dE = 0x6800;    ///< + producer
+inline constexpr std::uint32_t kLcpStage = 0x7000; ///< + exchange stage
+inline constexpr std::uint32_t kLcpAsync = 0x7800; ///< + sending proc
+inline constexpr std::uint32_t kCmmd = 0x8800;     ///< see Cmmd::chanFor
+inline constexpr std::uint32_t kEnd = 0x10000;     ///< past the last id
+
+/**
+ * Throw std::invalid_argument, naming @p user, unless the @p count ids
+ * from @p base (one of the bases above) fit inside its range. Programs
+ * call it before the run, so a processor count whose ids cannot fit is
+ * rejected up front instead of colliding with another range mid-run.
+ */
+void requireIds(std::uint32_t base, std::size_t count, const char* user);
+} // namespace chan
+
 /** Per-node channel endpoint table plus the sender-side writer. */
 class ChannelMgr
 {

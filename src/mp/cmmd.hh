@@ -13,6 +13,7 @@
  * in the Gauss broadcast experiments.
  */
 
+#include <cassert>
 #include <cstdint>
 #include <unordered_map>
 
@@ -27,10 +28,23 @@ class Cmmd
   public:
     Cmmd(sim::Processor& p, ActiveMessages& am, ChannelMgr& chans);
 
+    /** Tags per sender: every tag must be below this. */
+    static constexpr std::uint32_t kTags = 8;
+
+    /**
+     * Throw std::invalid_argument unless the channel ids of @p nprocs
+     * senders fit CMMD's range (chan::kCmmd). Call before the run.
+     */
+    static void
+    requireSenders(std::size_t nprocs)
+    {
+        chan::requireIds(chan::kCmmd, nprocs * kTags, "CMMD send/recv");
+    }
+
     /**
      * Blocking send of @p nbytes at @p src to @p dest. Matches the
      * receive with the same @p tag posted on @p dest. Tags must be
-     * < 256; transfers are word-granular.
+     * < kTags; transfers are word-granular.
      */
     void send(NodeId dest, std::uint32_t tag, Addr src,
               std::size_t nbytes);
@@ -56,7 +70,9 @@ class Cmmd
     static std::uint32_t
     chanFor(NodeId sender, std::uint32_t tag)
     {
-        return (static_cast<std::uint32_t>(sender) << 8) | tag;
+        assert(tag < kTags && "CMMD tag out of range");
+        return chan::kCmmd + static_cast<std::uint32_t>(sender) * kTags +
+               tag;
     }
 
     sim::Processor& p_;

@@ -4,6 +4,7 @@
 #include <limits>
 #include <queue>
 #include <stdexcept>
+#include <string>
 
 namespace wwt::mp
 {
@@ -384,13 +385,25 @@ Collectives::sendBulk(NodeId dest, NodeId root, std::uint32_t epoch8,
     }
 }
 
+void
+Collectives::requireBcastProcs(std::size_t nprocs)
+{
+    if (nprocs > kMaxBcastProcs) {
+        throw std::invalid_argument(
+            "bulk broadcast carries its root in a 7-bit packet header "
+            "field: at most " + std::to_string(kMaxBcastProcs) +
+            " processors, got " + std::to_string(nprocs));
+    }
+}
+
 Addr
 Collectives::broadcastInPlace(Addr src, std::size_t nbytes, NodeId root)
 {
     if (nbytes > kMaxBcastBytes || nbytes % 4 != 0)
         throw std::invalid_argument("broadcast payload size");
     assert(nbytes / ChannelMgr::kDataPerPacket < (1u << 12));
-    assert(nprocs_ <= 128 && "root must fit the bulk packet header");
+    assert(nprocs_ <= kMaxBcastProcs &&
+           "root must fit the bulk packet header");
 
     sim::AttrScope lib(p_, stats::libAttribution());
     OpTrace ot(p_, trace::OpKind::Broadcast);

@@ -103,6 +103,17 @@ class Collectives
     /** Maximum bulk-broadcast payload (staging buffer size). */
     static constexpr std::size_t kMaxBcastBytes = 64 * 1024;
 
+    /** Most processors broadcastInPlace() serves: the bulk packet
+     *  header carries the root in a 7-bit field. */
+    static constexpr std::size_t kMaxBcastProcs = 128;
+
+    /**
+     * Throw std::invalid_argument unless broadcastInPlace() can serve
+     * @p nprocs processors. Programs that use it call this before the
+     * run.
+     */
+    static void requireBcastProcs(std::size_t nprocs);
+
     Collectives(sim::Processor& p, ActiveMessages& am, MpMemory& mem,
                 const core::MachineConfig& cfg, std::size_t nprocs,
                 TreeKind kind);

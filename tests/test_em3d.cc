@@ -6,6 +6,8 @@
  * close the gap).
  */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "apps/em3d.hh"
@@ -25,6 +27,18 @@ tinyParams()
     p.degree = 4;
     p.pctRemote = 25;
     p.iters = 10;
+    return p;
+}
+
+/** Cross traffic sparse enough that, at 8 processors, make() has to
+ *  append closure edges in both directions. */
+Em3dParams
+sparseParams()
+{
+    Em3dParams p = tinyParams();
+    p.nodesPerProc = 16;
+    p.degree = 2;
+    p.pctRemote = 5;
     return p;
 }
 
@@ -70,9 +84,7 @@ TEST(Em3dGraph, TrafficClosureHolds)
 {
     // If p's H values flow to q, q's E values must flow to p (the
     // static-channel safety property).
-    Em3dParams p = tinyParams();
-    p.pctRemote = 5; // sparse cross traffic exercises the closure
-    Em3dGraph g = Em3dGraph::make(p, 8);
+    Em3dGraph g = Em3dGraph::make(sparseParams(), 8);
     std::vector<char> he(64, 0), eh(64, 0);
     for (const auto& e : g.hToE)
         if (e.sp != e.tp)
@@ -90,18 +102,84 @@ TEST(Em3dGraph, TrafficClosureHolds)
     }
 }
 
-TEST(Em3d, MpAndSmAgreeOnValues)
+TEST(Em3dGraph, PartitionCoversEveryEdgeOnce)
 {
-    mp::MpMachine mm(cfg(4));
-    sm::SmMachine sm_(cfg(4));
-    Em3dResult a = runEm3dMp(mm, tinyParams());
-    Em3dResult b = runEm3dSm(sm_, tinyParams());
+    // Each processor walks only its partition lists, so together they
+    // must hold every edge of both directions exactly once, in global
+    // order -- including the closure edges make() appends at the end.
+    Em3dParams p = sparseParams();
+    const std::size_t P = 8;
+    Em3dGraph g = Em3dGraph::make(p, P);
+    for (const auto* edges : {&g.hToE, &g.eToH}) {
+        ASSERT_GT(edges->size(), P * p.nodesPerProc * p.degree)
+            << "no closure edges to cover";
+        Em3dPartition part(*edges, P);
+        std::vector<int> inOut(edges->size(), 0);
+        std::vector<int> inGroup(edges->size(), 0);
+        auto walk = [&](const std::vector<std::uint32_t>& list,
+                        std::vector<int>& seen, auto&& belongs) {
+            for (std::size_t i = 0; i < list.size(); ++i) {
+                ASSERT_LT(list[i], edges->size());
+                if (i > 0) {
+                    EXPECT_LT(list[i - 1], list[i]);
+                }
+                EXPECT_TRUE(belongs((*edges)[list[i]])) << list[i];
+                seen[list[i]]++;
+            }
+        };
+        for (NodeId sp = 0; sp < P; ++sp) {
+            walk(part.out[sp], inOut,
+                 [&](const Em3dEdge& e) { return e.sp == sp; });
+            walk(part.local[sp], inGroup, [&](const Em3dEdge& e) {
+                return e.sp == sp && e.tp == sp;
+            });
+            EXPECT_TRUE(part.group[sp][sp].empty());
+            for (NodeId tp = 0; tp < P; ++tp) {
+                const auto& group = part.group[sp][tp];
+                walk(group, inGroup, [&](const Em3dEdge& e) {
+                    return e.sp == sp && e.tp == tp && sp != tp;
+                });
+                // The half-step gather list follows the group.
+                ASSERT_EQ(part.send[sp][tp].size(), group.size());
+                for (std::size_t i = 0; i < group.size(); ++i)
+                    EXPECT_EQ(part.send[sp][tp][i], (*edges)[group[i]].si);
+            }
+        }
+        for (std::size_t k = 0; k < edges->size(); ++k) {
+            EXPECT_EQ(inOut[k], 1) << "out lists, edge " << k;
+            EXPECT_EQ(inGroup[k], 1) << "local/group lists, edge " << k;
+        }
+    }
+}
+
+/** EM3D at P processors: MP and SM compute the same values. */
+class Em3dProcs : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(Em3dProcs, MpAndSmAgreeOnValues)
+{
+    // P > 96 puts CMMD senders past 0x60, where the old channel ids
+    // ((sender << 8) | tag) landed on EM3D's static value streams.
+    const std::size_t P = GetParam();
+    Em3dParams p = tinyParams();
+    p.iters = 3;
+    mp::MpMachine mm(cfg(P));
+    sm::SmMachine sm_(cfg(P));
+    Em3dResult a = runEm3dMp(mm, p);
+    Em3dResult b = runEm3dSm(sm_, p);
     ASSERT_EQ(a.eVals.size(), b.eVals.size());
     for (std::size_t i = 0; i < a.eVals.size(); ++i)
         EXPECT_NEAR(a.eVals[i], b.eVals[i], 1e-9) << "E " << i;
     for (std::size_t i = 0; i < a.hVals.size(); ++i)
         EXPECT_NEAR(a.hVals[i], b.hVals[i], 1e-9) << "H " << i;
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Em3d, Em3dProcs, ::testing::Values(4, 33, 64, 97, 128),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+        return "P" + std::to_string(info.param);
+    });
 
 TEST(Em3d, ValuesConvergeToFixedPoint)
 {

@@ -6,6 +6,8 @@
  * flat for the MP version).
  */
 
+#include <stdexcept>
+
 #include <gtest/gtest.h>
 
 #include "apps/gauss.hh"
@@ -71,6 +73,13 @@ TEST(Gauss, WorksAcrossProcCounts)
         GaussResult r = runGaussMp(m, p);
         EXPECT_LT(r.maxErr, 1e-8) << "P=" << P;
     }
+    // Past 128 processors the pivot-row broadcast's 7-bit root field
+    // overflows: refused before the run, not by a mid-run abort.
+    GaussParams p;
+    p.n = 256;
+    mp::MpMachine m(cfg(256));
+    EXPECT_THROW(runGaussMp(m, p), std::invalid_argument);
+    EXPECT_EQ(m.engine().elapsed(), 0u);
 }
 
 TEST(Gauss, CommunicationIntensiveShape)

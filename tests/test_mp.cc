@@ -5,6 +5,9 @@
  * per-node memory path.
  */
 
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/config.hh"
@@ -208,6 +211,30 @@ TEST(Cmmd, ManyMessagesBothDirections)
             }
         }
     });
+}
+
+TEST(Channels, IdRangesRejectWhatCannotFit)
+{
+    // Every range runs from its base to the next one; a user whose
+    // ids would spill over is refused, naming itself.
+    EXPECT_NO_THROW(chan::requireIds(chan::kEm3dH, 0x800, "em3d"));
+    EXPECT_THROW(chan::requireIds(chan::kEm3dH, 0x801, "em3d"),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(chan::requireIds(chan::kLcpAsync, 4096, "lcp"));
+    try {
+        chan::requireIds(chan::kMseReply, 0x2000, "MSE-MP replies");
+        ADD_FAILURE() << "no throw";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find("MSE-MP replies"),
+                  std::string::npos);
+    }
+    // CMMD's range holds 3840 senders of kTags tags each, and its
+    // ids sit past every app's static ones.
+    const std::size_t senders = (chan::kEnd - chan::kCmmd) / Cmmd::kTags;
+    EXPECT_NO_THROW(Cmmd::requireSenders(senders));
+    EXPECT_THROW(Cmmd::requireSenders(senders + 1),
+                 std::invalid_argument);
+    EXPECT_GE(chan::kCmmd, chan::kLcpAsync + 4096);
 }
 
 TEST(MpMachine, LibraryTimeIsAttributedToLib)
